@@ -85,7 +85,8 @@ class LimitOperator:
         K = profile.range_K
         if grid.K_trunc < K:
             raise InputError(f"K_trunc = {grid.K_trunc} below the kernel range {K}")
-        self.profile = profile
+        # no reference back to the profile: the profile holds its operators,
+        # and a cycle would keep both alive until the cyclic collector runs
         self.grid = grid
         self.K = K
         edges, mids, widths = _theta_cells(profile, grid.n_theta)
@@ -111,6 +112,10 @@ class LimitOperator:
         cs = np.arange(grid.n_s)
         self._e_mat = np.exp(2j * np.pi * np.outer(ks, cs) / grid.n_s)
         self._l_cols = [l % grid.n_s for l in range(-K, K + 1)]
+        # one operator serves every solve on its (profile, grid), and every
+        # solution shares theta, weights and edges: none may be written
+        for arr in (self._psiw, self._e_mat, self.theta, self.weights, self.edges):
+            arr.flags.writeable = False
 
     def coefficients(self, U: np.ndarray) -> np.ndarray:
         """Fourier coefficients v(theta, l) for |l| <= K, from grid values."""
@@ -159,10 +164,12 @@ def solve_limit(profile: CorrelationProfile, z: ZLike,
                 anderson: Optional[bool] = None, ladder_factor: float = 2.0) -> LimitSolution:
     """Solve u = 1/(-z - Su) on the grid, continuing down in eta when cold.
 
-    A warm start skips the eta ladder and must come from the same grid
-    shape.  Every iterate must stay in the positivity class Im u > 0;
-    leaving it raises a domain-escape error.  After convergence the
-    retained coefficient window must capture the decay: |m(theta, k)| at
+    The LimitOperator is built on the first solve for a (profile, grid)
+    pair and held by the profile for every later one.  A warm start
+    skips the eta ladder and must come from the same grid shape.  Every
+    iterate must stay in the positivity class Im u > 0; leaving it
+    raises a domain-escape error.  After convergence the retained
+    coefficient window must capture the decay: |m(theta, k)| at
     |k| = K_trunc above tol raises with a hint to raise K_trunc.
     """
     sp = as_spectral(z)
@@ -170,7 +177,12 @@ def solve_limit(profile: CorrelationProfile, z: ZLike,
         raise InputError("tol must be positive")
     if grid is None:
         grid = LimitGrid.for_profile(profile)
-    op = LimitOperator(profile, grid)
+    # An operator is read-only once built.  Threads racing on the same
+    # key at worst build it twice and store identical operators, so no
+    # lock is needed.
+    op = profile._operators.get(grid)
+    if op is None:
+        op = profile._operators[grid] = LimitOperator(profile, grid)
     nc, n_s = op.nc, grid.n_s
 
     if warm_start is not None:

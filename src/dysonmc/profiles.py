@@ -26,6 +26,13 @@ from .errors import CapacityError, InputError, SymmetryError
 TABLE_KINDS = ("constant", "bilinear")
 
 
+def _frozen_copy(arr) -> np.ndarray:
+    """Private read-only float copy: the caller's array stays writable."""
+    out = np.array(arr, dtype=float)
+    out.flags.writeable = False
+    return out
+
+
 def _check_breakpoints(breakpoints) -> tuple:
     bp = tuple(float(b) for b in breakpoints)
     arr = np.asarray(bp, dtype=float)
@@ -64,7 +71,7 @@ class FilterSpec:
         object.__setattr__(self, "breakpoints", _check_breakpoints(self.breakpoints))
         P = len(self.breakpoints) + 1
         n_nodes = P if self.kind == "constant" else P + 1
-        c = np.asarray(self.coefficients, dtype=float)
+        c = _frozen_copy(self.coefficients)
         want = (n_nodes, n_nodes, 2 * r + 1, 2 * r + 1)
         if c.shape != want:
             raise InputError(f"coefficients must have shape {want}, got {c.shape}")
@@ -94,7 +101,12 @@ class FilterSpec:
 
 @dataclass(frozen=True, eq=False)
 class CorrelationProfile:
-    """A correlation kernel: table data or a filter, plus the iid floor."""
+    """A correlation kernel: table data or a filter, plus the iid floor.
+
+    Profiles are immutable and their arrays read-only, so whatever is
+    derived from one stays valid for its lifetime: limit operators are
+    built once per LimitGrid and held in _operators (see solve_limit).
+    """
 
     range_K: int
     kind: str  # "constant" | "bilinear" | "filter"
@@ -102,6 +114,7 @@ class CorrelationProfile:
     breakpoints: tuple = ()
     iid_floor: float = 0.0
     source_filter: Optional[FilterSpec] = None
+    _operators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         K = int(self.range_K)
@@ -118,7 +131,7 @@ class CorrelationProfile:
                 raise InputError("table kinds need a values array")
             P = len(self.breakpoints) + 1
             n_nodes = P if self.kind == "constant" else P + 1
-            v = np.asarray(self.values, dtype=float)
+            v = _frozen_copy(self.values)
             want = (n_nodes, n_nodes, 2 * K + 1, 2 * K + 1)
             if v.shape != want:
                 raise InputError(f"values must have shape {want}, got {v.shape}")

@@ -1,9 +1,12 @@
+import weakref
+
 import numpy as np
 import pytest
 
-from dysonmc import (InputError, LimitGrid, SolverError, classical_locations,
-                     consistency_check, density_curve, discretize_limit,
-                     limit_decay_bound, solve_limit, stieltjes_trace)
+from dysonmc import (CorrelationProfile, InputError, LimitGrid, LimitOperator,
+                     SolverError, classical_locations, consistency_check,
+                     density_curve, discretize_limit, limit_decay_bound,
+                     solve_limit, stieltjes_trace)
 from conftest import constant_table, m_semicircle
 
 
@@ -32,6 +35,56 @@ def test_truncation_below_kernel_range_rejected(two_tap_profile):
     with pytest.raises(InputError):
         solve_limit(two_tap_profile, 1j,
                     grid=LimitGrid(n_s=256, K_trunc=1))
+
+
+def _ramp_profile():
+    # position-dependent, so the operator couples theta cells; range_K = 2
+    v = np.zeros((2, 2, 5, 5))
+    v[:, :, 2, 2] = [[0.5, 0.8], [0.8, 1.0]]
+    v[:, :, 3, 2] = v[:, :, 1, 2] = 0.1
+    return CorrelationProfile(range_K=2, kind="bilinear", values=v)
+
+
+def test_operator_built_once_per_profile_and_grid(monkeypatch):
+    built = []
+    init = LimitOperator.__init__
+
+    def counting_init(self, profile, grid):
+        init(self, profile, grid)
+        built.append(grid)
+
+    monkeypatch.setattr(LimitOperator, "__init__", counting_init)
+    profile = _ramp_profile()
+    grid = LimitGrid(n_theta=32, n_s=128, K_trunc=16)
+    E = np.linspace(-0.4, 0.4, 5)
+    curve = density_curve(profile, E, 1e-3, grid=grid)
+    assert len(built) == 1
+    again = density_curve(profile, E, 1e-3, grid=LimitGrid(n_theta=32, n_s=128, K_trunc=16))
+    assert len(built) == 1
+    np.testing.assert_array_equal(again.rho, curve.rho)
+    density_curve(profile, E, 1e-3, grid=LimitGrid(n_theta=16, n_s=128, K_trunc=16))
+    assert len(built) == 2
+    narrow = LimitGrid(n_s=128, K_trunc=1)
+    for _ in range(2):
+        with pytest.raises(InputError):
+            solve_limit(profile, 1j, grid=narrow)
+    assert len(built) == 2 and narrow not in profile._operators
+
+    # a new, equal profile builds its own operator and gets the same bits
+    cached = solve_limit(profile, 0.2 + 1e-3j, grid=grid)
+    fresh_profile = _ramp_profile()
+    fresh = solve_limit(fresh_profile, 0.2 + 1e-3j, grid=grid)
+    assert len(built) == 3
+    assert fresh_profile._operators[grid] is not profile._operators[grid]
+    np.testing.assert_array_equal(cached.u, fresh.u)
+    assert stieltjes_trace(cached) == stieltjes_trace(fresh)
+    np.testing.assert_array_equal(
+        density_curve(fresh_profile, E, 1e-3, grid=grid).rho, curve.rho)
+    assert len(built) == 3
+    # the operators go with their profile, without waiting for the collector
+    gone = weakref.ref(fresh_profile._operators[grid])
+    del fresh_profile, fresh
+    assert gone() is None
 
 
 # ---------------------------------------------------------------------------

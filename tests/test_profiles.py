@@ -4,12 +4,29 @@ import pytest
 from dysonmc import (CorrelationProfile, FilterSpec, InputError, KernelView,
                      SymmetryError, build_covariance, check_positivity,
                      hat_psi, pair_index, profile_from_filter, psi_eval,
-                     validate_profile, xi_eval)
+                     solve_limit, validate_profile, xi_eval)
 from conftest import center_tap_filter, constant_table, two_tap_spec
 
 
 # ---------------------------------------------------------------------------
 # construction and validation of the input objects
+
+def test_arrays_of_profiles_filters_and_solutions_are_read_only():
+    v = np.zeros((1, 1, 3, 3))
+    v[0, 0, 1, 1] = 1.0
+    c = v.copy()
+    profile = CorrelationProfile(range_K=1, kind="constant", values=v)
+    filt = FilterSpec(radius_r=1, kind="constant", coefficients=c)
+    sol = solve_limit(profile, 1j)
+    for arr in (profile.values, filt.coefficients, sol.theta, sol.weights, sol.edges):
+        with pytest.raises(ValueError):
+            arr[0] = 0.5
+    # the caller's arrays were copied and stay writable
+    v[0, 0, 1, 1] = 0.5
+    c[0, 0, 1, 1] = 0.5
+    assert profile.values[0, 0, 1, 1] == 1.0
+    assert filt.coefficients[0, 0, 1, 1] == 1.0
+
 
 def test_filter_rejects_bad_tap_shape():
     with pytest.raises(InputError):
