@@ -357,11 +357,12 @@ def _cmd_ou_flow(ctx) -> int:
         ts = [ts]
     n_paths = int(exp.get("n_paths", 10_000))
     spacing_seeds = int(exp.get("spacing_seeds", 0))
+    curve = _curve_for(ctx.profile, exp, ctx.solver) if spacing_seeds > 0 else None
     reports = []
     ok = True
     for t in ts:
         rep = ou_flow_check(ctx.model, N, float(t), seeds=spacing_seeds,
-                            n_paths=n_paths, seed=ctx.seed)
+                            n_paths=n_paths, seed=ctx.seed, curve=curve)
         reports.append(_asdict(rep))
         ok = ok and rep.covariance_ok
         extra = "" if rep.spacing_ks is None else f" spacing_ks={rep.spacing_ks:.4f}"

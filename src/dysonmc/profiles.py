@@ -181,6 +181,24 @@ def _node_weights(nodes: np.ndarray, x: np.ndarray):
     return ci, s
 
 
+def _basis(kind: str, breakpoints: tuple, x) -> np.ndarray:
+    """Piece indicators ("constant") or interpolation hats ("bilinear") at x.
+
+    Row m, column i holds the m-th function at x[i], so a table value is
+    _basis(theta).T @ values[:, :, k, l] @ _basis(phi).  Each column sums to 1.
+    """
+    x = np.asarray(x, dtype=float)
+    cols = np.arange(x.size)
+    B = np.zeros((len(breakpoints) + (1 if kind == "constant" else 2), x.size))
+    if kind == "constant":
+        B[_piece_index(breakpoints, x), cols] = 1.0
+    else:
+        ci, s = _node_weights(np.concatenate([[0.0], np.asarray(breakpoints), [1.0]]), x)
+        B[ci, cols] = 1.0 - s
+        B[ci + 1, cols] += s
+    return B
+
+
 def _table_value(profile: CorrelationProfile, th, ph, ki: int, li: int):
     V = profile.values
     if profile.kind == "constant":
@@ -464,59 +482,91 @@ def xi_eval(view: "KernelView", i: int, j: int, k: int, l: int) -> float:
     return 0.0
 
 
+def _separable_form(profile: CorrelationProfile, theta: np.ndarray):
+    """Exact separable form of the effective kernel on the points theta.
+
+    Returns (G, V) with psi_eff(theta_i, theta_j, k, l) equal to
+    sum_mn G[m, i] V[m, n, k + K, l + K] G[n, j] whenever theta_i <= theta_j.
+    Tables use the basis of their kind.  A filter kernel is a bilinear form
+    in the taps, so its rows are the products g_i g_i' of the filter's basis.
+    The floor is added to V at offset (0, 0), which is exact because the
+    basis functions sum to 1 at every point.  Rows of G that vanish on
+    every theta_i are dropped, and the form has rank 1 (G = 1) when V does
+    not depend on (m, n).
+    """
+    K = profile.range_K
+    if profile.kind == "filter":
+        f = profile.source_filter
+        g = _basis(f.kind, f.breakpoints, theta)
+        n = g.shape[0]
+        G = (g[:, None] * g[None, :]).reshape(n * n, -1)
+        # Im of the autocorrelation of x + iy is the cross-correlation of x
+        # and y plus that of y and x.  The weights g_i g_i'(theta) g_j g_j'(phi)
+        # are symmetric under (i, j) <-> (i', j'), so half of it is exact.
+        pair = f.coefficients[:, :, None, None] + 1j * f.coefficients[None, None]
+        V = np.empty((n, n, n, n, 2 * K + 1, 2 * K + 1))
+        for k in range(-K, K + 1):
+            for l in range(-K, K + 1):
+                V[..., k + K, l + K] = 0.5 * _tap_autocorr(pair, f.radius_r, k, l).imag
+        V = V.transpose(0, 2, 1, 3, 4, 5).reshape(n * n, n * n, 2 * K + 1, 2 * K + 1)
+    else:
+        G = _basis(profile.kind, profile.breakpoints, theta)
+        V = profile.values
+    V = (1.0 - profile.iid_floor) * V
+    V[..., K, K] += profile.iid_floor
+    keep = G.any(axis=1)
+    G, V = G[keep], V[keep][:, keep]
+    if np.ptp(V, axis=(0, 1)).max() == 0.0:
+        G, V = np.ones((1, theta.size)), V[:1, :1]
+    return G, V
+
+
 class KernelView:
     """A kernel pinned to a matrix dimension N.
 
     Exposes the banded linear map A -> (1/N) sum_jl xi_{ijkl} A_jl through
-    apply_band/apply_dense.  Three evaluation strategies: a translation
-    invariant fast path using running sums, an exact low-rank path for
-    table kernels (piece indicators or interpolation hats factor the
-    kernel), and a dense fallback for position-dependent filters.
+    apply_band/apply_dense.  Every supported kernel has an exact separable
+    form on the grid (see _separable_form): a few position functions G and
+    an offset table V.  Tables use their piece indicators or interpolation
+    hats, filters the pairwise products of those.  The map is then a sum of
+    weighted running sums of G * A; a translation-invariant kernel is the
+    rank-1 case G = 1.
     """
 
     def __init__(self, profile: CorrelationProfile, N: int):
         if int(N) < 1:
             raise InputError("N must be a positive integer")
         self.profile = profile
-        self.N = int(N)
-        self.K = profile.range_K
-        self.theta = np.arange(1, self.N + 1) / self.N
-        self._mode, self._psi_c, self._basis, self._vtab = self._prepare()
-
-    # -- strategy setup -----------------------------------------------------
-    def _prepare(self):
-        p = self.profile
-        K = self.K
-        offs = range(-K, K + 1)
-        if p.kind == "filter":
-            f = p.source_filter
-            const = f.kind == "constant" and len(f.breakpoints) == 0
-            flat = f.kind == "bilinear" and np.ptp(f.coefficients, axis=(0, 1)).max() == 0.0
-            if const or flat:
-                psi_c = np.array([[psi_eval(p, 0.25, 0.75, a, d) for d in offs] for a in offs])
-                return "ti", psi_c, None, None
-            return "dense", None, None, None
-        # table kinds: effective node/piece values with the floor folded in
-        V = (1.0 - p.iid_floor) * p.values.copy()
-        V[..., K, K] += p.iid_floor
-        if np.ptp(V, axis=(0, 1)).max() == 0.0:
-            psi_c = np.array([[V[0, 0, a + K, d + K] for d in offs] for a in offs])
-            return "ti", psi_c, None, None
-        if p.kind == "constant":
-            pieces = _piece_index(p.breakpoints, self.theta)
-            B = np.zeros((V.shape[0], self.N))
-            B[pieces, np.arange(self.N)] = 1.0
-        else:
-            nodes = p.nodes
-            ci, s = _node_weights(nodes, self.theta)
-            B = np.zeros((V.shape[0], self.N))
-            B[ci, np.arange(self.N)] = 1.0 - s
-            B[ci + 1, np.arange(self.N)] += s
-        return "basis", None, B, V
+        self.N = N = int(N)
+        self.K = K = profile.range_K
+        self.theta = np.arange(1, N + 1) / N
+        self._G, V = _separable_form(profile, self.theta)
+        R, B = self._G.shape[0], 2 * K + 1
+        idx = np.arange(N)
+        offs = np.arange(-K, K + 1)
+        # band row a + K holds (i, i + a) at position i - 1 while i + a lies in 1..N
+        self._valid = (idx + offs[:, None] >= 0) & (idx + offs[:, None] < N)
+        # One term per nonzero offset pair and side.  Output offset a takes
+        # input offset d through a suffix sum over j >= i + max(0, a - d),
+        # weighted by psi(theta_i, theta_j, a, d) (side 0), or a prefix sum
+        # over j <= i - 1 + min(0, a - d), weighted by psi(theta_j, theta_i,
+        # d, a) (side 1).  Pairs whose weights are all zero are skipped.
+        x, y = np.nonzero(V.any(axis=(0, 1)))
+        a = np.concatenate([x, y])
+        d = np.concatenate([y, x])
+        side = np.repeat([0, 1], x.size)[:, None]
+        s = (a - d)[:, None]
+        col = np.where(side == 0, np.minimum(idx + np.maximum(s, 0), N),
+                       np.clip(idx + np.minimum(s, 0), 0, N))
+        rows = (side * B + d[:, None]) * R + np.arange(R)
+        self._gather = rows[:, :, None] * (N + 1) + col[:, None, :]
+        W = V[:, :, x, y].transpose(2, 0, 1)
+        self._weights = np.concatenate([W, W.transpose(0, 2, 1)])
+        self._scatter = (np.arange(B)[:, None] == a).astype(float)
 
     @property
     def translation_invariant(self) -> bool:
-        return self._mode == "ti"
+        return self._G.shape[0] == 1
 
     # -- band plumbing -------------------------------------------------------
     def band_of(self, A: np.ndarray) -> np.ndarray:
@@ -542,71 +592,22 @@ class KernelView:
     def apply_band(self, band: np.ndarray) -> np.ndarray:
         """Banded image of the kernel map, band-in band-out.
 
-        Row a + K, position i - 1 holds the (i, i + a) entry.  For each
-        offset pair the contribution splits into an upper part over
-        j >= i + max(0, a - d) and a strictly-lower part over
-        j <= i - 1 + min(0, a - d), each a weighted running sum.
+        Row a + K, position i - 1 holds the (i, i + a) entry.  Suffix and
+        prefix sums of G * band for every input offset are gathered at the
+        start of each term's range, weighted by V and G, and summed into
+        the term's output offset.
         """
         N, K = self.N, self.K
         band = np.asarray(band, dtype=complex)
         if band.shape != (2 * K + 1, N):
             raise InputError(f"band must have shape {(2 * K + 1, N)}")
-        offs = list(range(-K, K + 1))
-        idx = np.arange(N)
-        out = np.zeros((2 * K + 1, N), dtype=complex)
-        mode = self._mode
-        for di, d in enumerate(offs):
-            u = band[di].copy()
-            # diagonal d only exists on rows where the column stays in range
-            if d > 0:
-                u[N - d:] = 0.0
-            elif d < 0:
-                u[:-d] = 0.0
-            if not u.any():
-                continue
-            if mode == "ti":
-                SS = np.concatenate([np.cumsum(u[::-1])[::-1], [0.0]])
-                PP = np.concatenate([[0.0], np.cumsum(u)])
-                for ai, a in enumerate(offs):
-                    s = a - d
-                    row = None
-                    w_up = self._psi_c[ai, di]
-                    w_lo = self._psi_c[di, ai]
-                    if w_up != 0.0:
-                        row = w_up * SS[np.minimum(idx + max(0, s), N)]
-                    if w_lo != 0.0:
-                        lo = w_lo * PP[np.clip(idx + min(0, s), 0, N)]
-                        row = lo if row is None else row + lo
-                    if row is not None:
-                        out[ai] += row
-            elif mode == "basis":
-                B, V = self._basis, self._vtab
-                SUF = np.concatenate(
-                    [np.cumsum((B * u)[:, ::-1], axis=1)[:, ::-1],
-                     np.zeros((B.shape[0], 1))], axis=1)
-                PRE = np.concatenate(
-                    [np.zeros((B.shape[0], 1)), np.cumsum(B * u, axis=1)], axis=1)
-                for ai, a in enumerate(offs):
-                    s = a - d
-                    cu = np.minimum(idx + max(0, s), N)
-                    cl = np.clip(idx + min(0, s), 0, N)
-                    up = (B * (V[:, :, ai, di] @ SUF[:, cu])).sum(axis=0)
-                    lo = (B * (V[:, :, di, ai].T @ PRE[:, cl])).sum(axis=0)
-                    out[ai] += up + lo
-            else:
-                th = self.theta
-                for ai, a in enumerate(offs):
-                    s = a - d
-                    W_up = psi_eval(self.profile, th[:, None], th[None, :], a, d)
-                    W_lo = psi_eval(self.profile, th[None, :], th[:, None], d, a)
-                    out[ai] += np.triu(W_up, max(0, s)) @ u
-                    out[ai] += np.tril(W_lo, min(0, s) - 1) @ u
-        for ai, a in enumerate(offs):
-            if a > 0:
-                out[ai, N - a:] = 0.0
-            elif a < 0:
-                out[ai, :-a] = 0.0
-        return out / N
+        gu = self._G * np.where(self._valid, band, 0.0)[:, None, :]
+        sums = np.zeros((2,) + gu.shape[:2] + (N + 1,), dtype=complex)
+        sums[0, ..., :N] = np.cumsum(gu[..., ::-1], axis=-1)[..., ::-1]
+        sums[1, ..., 1:] = np.cumsum(gu, axis=-1)
+        terms = self._weights @ sums.ravel()[self._gather]
+        out = self._scatter @ (self._G * terms).sum(axis=1)
+        return np.where(self._valid, out, 0.0) / N
 
     def apply_dense(self, A: np.ndarray) -> np.ndarray:
         A = np.asarray(A)

@@ -19,7 +19,7 @@ import scipy.linalg
 from ._rng import TAG_EXACT, TAG_FIELD, TAG_FLOOR, TAG_GOE, TAG_OU, child_seed, stream
 from .errors import CapacityError, InputError, ModelError
 from .profiles import (COVARIANCE_CAP, CorrelationProfile, FilterSpec, KernelView,
-                       _node_weights, _piece_index, build_covariance, pair_index)
+                       _basis, build_covariance, pair_index)
 
 
 @dataclass
@@ -45,19 +45,6 @@ def _driver_draw(rng: np.random.Generator, shape, driver: str, tau, N: int):
     return np.where(u < p, mag, np.where(u < 2.0 * p, -mag, 0.0))
 
 
-def _tap_component(filt: FilterSpec, th, ph, ai: int, bi: int):
-    """Tap coefficient c(theta, phi, a, b) for one (a, b), vectorized."""
-    C = filt.coefficients[:, :, ai, bi]
-    if filt.kind == "constant":
-        return C[_piece_index(filt.breakpoints, th),
-                 _piece_index(filt.breakpoints, ph)]
-    nodes = np.concatenate([[0.0], np.asarray(filt.breakpoints), [1.0]])
-    ci, s = _node_weights(nodes, th)
-    cj, t = _node_weights(nodes, ph)
-    return ((1 - s) * ((1 - t) * C[ci, cj] + t * C[ci, cj + 1])
-            + s * ((1 - t) * C[ci + 1, cj] + t * C[ci + 1, cj + 1]))
-
-
 def _is_flat(filt: FilterSpec) -> bool:
     return filt.kind == "constant" and len(filt.breakpoints) == 0
 
@@ -78,17 +65,17 @@ def sample(filt: FilterSpec, N: int, seed: int) -> MatrixSample:
     w = _driver_draw(stream(seed, TAG_FIELD), (ext, ext), filt.driver, filt.tau, N)
     Xu = np.zeros((N, N))
     flat = _is_flat(filt)
-    th = np.arange(1, N + 1) / N
+    # tap c(theta_i, theta_j, a, b) = g(theta_i) . C[:, :, a, b] . g(theta_j)
+    g = _basis(filt.kind, filt.breakpoints, np.arange(1, N + 1) / N)
     for ai in range(2 * r + 1):
         for bi in range(2 * r + 1):
             if flat:
                 c = filt.coefficients[0, 0, ai, bi]
                 if c == 0.0:
                     continue
-                Xu += c * w[ai:ai + N, bi:bi + N]
             else:
-                c = _tap_component(filt, th[:, None], th[None, :], ai, bi)
-                Xu += c * w[ai:ai + N, bi:bi + N]
+                c = g.T @ filt.coefficients[:, :, ai, bi] @ g
+            Xu += c * w[ai:ai + N, bi:bi + N]
     if lam < 1.0:
         Xu *= np.sqrt(1.0 - lam)
     else:
@@ -214,6 +201,7 @@ def _entry_values(filt: FilterSpec, N: int, W, V, entries, th) -> np.ndarray:
     B = W.shape[0]
     out = np.zeros((B, len(entries)))
     flat = _is_flat(filt)
+    g = _basis(filt.kind, filt.breakpoints, th)
     for e, (i, j) in enumerate(entries):
         acc = np.zeros(B)
         for ai in range(2 * r + 1):
@@ -221,7 +209,7 @@ def _entry_values(filt: FilterSpec, N: int, W, V, entries, th) -> np.ndarray:
                 if flat:
                     c = filt.coefficients[0, 0, ai, bi]
                 else:
-                    c = float(_tap_component(filt, i / N, j / N, ai, bi))
+                    c = g[:, i - 1] @ filt.coefficients[:, :, ai, bi] @ g[:, j - 1]
                 if c == 0.0:
                     continue
                 acc += c * W[:, i - 1 + ai, j - 1 + bi]

@@ -18,8 +18,7 @@ import scipy.stats
 
 from ._rng import child_seed
 from .errors import InputError, SolverError
-from .limit import (DensityCurve, classical_locations, density_curve, solve_limit,
-                    stieltjes_trace)
+from .limit import DensityCurve, classical_locations, solve_limit, stieltjes_trace
 from .mde import ZLike, as_spectral, residual_norm, solve_finite
 from .profiles import (COVARIANCE_CAP, CorrelationProfile, FilterSpec, KernelView,
                        profile_from_filter, psi_eval)
@@ -362,8 +361,11 @@ def ou_flow_check(filt: FilterSpec, N: int, t: float, seeds: int = 0,
     variances at both times must match the kernel, and the time-cross
     covariance must match e^{-t/2} times it, all within 5 standard errors.
     With seeds > 0, pooled unfolded spacings at times 0 and t are compared
-    by a two-sample KS test.
+    by a two-sample KS test; they are unfolded by curve, which must then be
+    given and cover the spectrum.
     """
+    if seeds > 0 and curve is None:
+        raise InputError("seeds > 0 needs a density curve to unfold the spacings")
     N = int(N)
     profile = profile_from_filter(filt)
     c = max(2, N // 2)
@@ -393,9 +395,6 @@ def ou_flow_check(filt: FilterSpec, N: int, t: float, seeds: int = 0,
 
     spacing_ks = None
     if seeds > 0:
-        if curve is None:
-            grid_E = np.linspace(-3.5, 3.5, 141)
-            curve = density_curve(profile, grid_E, 1e-3)
         pool0 = []
         poolt = []
         for s in range(int(seeds)):

@@ -275,6 +275,20 @@ def test_ou_flow_gate(tmp_path):
     assert checks[0]["max_sigma"] <= 5.0
 
 
+def test_ou_flow_spacing_uses_the_curve_window_and_solver_grid(tmp_path, models_dir):
+    # two_tap.json asks for K_trunc 64; its density solves fail on coarser grids
+    with open(os.path.join(models_dir, "two_tap.json")) as fh:
+        body = json.load(fh)
+    body["experiment"] = {"N": 100, "t": [0.5], "n_paths": 200, "spacing_seeds": 1,
+                          "curve": {"energies": {"start": -3.0, "stop": 3.0,
+                                                 "count": 13}}}
+    m = model_file(tmp_path, body)
+    out = str(tmp_path / "out")
+    assert run(["ou-flow", "--model", m, "--out", out, "--seed", "2"]) == 0
+    checks = load_report(out, "ou-flow")["data"]["checks"]
+    assert 0.0 < checks[0]["spacing_ks"] < 1.0
+
+
 def test_ou_flow_rejects_table_models(tmp_path):
     v = np.zeros((1, 1, 3, 3))
     v[0, 0, 1, 1] = 1.0

@@ -265,32 +265,76 @@ def brute_apply(view, A):
     return out / N
 
 
-@pytest.mark.parametrize("case", ["ti", "basis_const", "basis_bilin", "dense"])
-def test_apply_matches_entrywise_sum(case):
-    rng = np.random.default_rng(3)
-    if case == "ti":
-        profile, N = profile_from_filter(two_tap_spec()), 12
-    elif case == "basis_const":
+def kernel_case(case):
+    """(profile, N) for the kernels the banded map is checked on."""
+    rng = np.random.default_rng(5)
+    if case == "ti":  # translation-invariant filter with a floor
+        return profile_from_filter(two_tap_spec()), 12
+    if case == "basis_const":  # piecewise-constant table
         v = np.zeros((2, 2, 3, 3))
         v[:, :, 1, 1] = [[1.0, 0.6], [0.6, 0.8]]
         v[:, :, 2, 1] = v[:, :, 0, 1] = 0.2
-        profile, N = CorrelationProfile(range_K=1, kind="constant", values=v,
-                                        breakpoints=(0.5,)), 13
-    elif case == "basis_bilin":
+        return CorrelationProfile(range_K=1, kind="constant", values=v,
+                                  breakpoints=(0.5,)), 13
+    if case == "basis_bilin":  # the bilinear ramp table
         v = np.zeros((2, 2, 3, 3))
         v[:, :, 1, 1] = [[0.5, 0.8], [0.8, 1.0]]
-        profile, N = CorrelationProfile(range_K=1, kind="bilinear", values=v), 11
-    else:
+        return CorrelationProfile(range_K=1, kind="bilinear", values=v), 11
+    if case == "dense":  # position-dependent bilinear filter with a floor
         c = np.zeros((2, 2, 3, 3))
         c[:, :, 1, 1] = [[0.9, 0.7], [0.7, 0.8]]
         c[:, :, 2, 2] = 0.3
-        profile, N = profile_from_filter(
+        return profile_from_filter(
             FilterSpec(radius_r=1, kind="bilinear", coefficients=c,
                        iid_floor=0.05)), 10
+    if case == "filter_const_bp":
+        c = np.zeros((2, 2, 3, 3))
+        c[:, :, 1, 1] = [[0.9, 0.5], [0.5, 0.7]]
+        c[:, :, 2, 1] = [[0.3, -0.1], [0.1, 0.4]]
+        c[:, :, 0, 2] = 0.2
+        return profile_from_filter(
+            FilterSpec(radius_r=1, kind="constant", coefficients=c,
+                       breakpoints=(0.4,), iid_floor=0.1)), 11
+    if case == "filter_bilin_bp":
+        # hats 0 and 2 never overlap, so their product rows vanish on the grid
+        c = rng.uniform(-0.3, 0.3, size=(3, 3, 3, 3))
+        return profile_from_filter(
+            FilterSpec(radius_r=1, kind="bilinear", coefficients=c,
+                       breakpoints=(0.55,), iid_floor=0.02)), 13
+    if case == "flat_filter_bilin":
+        c = np.zeros((2, 2, 3, 3))
+        c[:, :] = rng.uniform(-0.3, 0.3, size=(3, 3))
+        return profile_from_filter(
+            FilterSpec(radius_r=1, kind="bilinear", coefficients=c)), 9
+    if case == "flat_table_bilin":
+        v = np.zeros((2, 2, 3, 3))
+        v[:, :, 1, 1] = 0.9
+        v[:, :, 2, 1] = v[:, :, 0, 1] = 0.2
+        return CorrelationProfile(range_K=1, kind="bilinear", values=v,
+                                  iid_floor=0.1), 9
+    raise ValueError(case)
+
+
+APPLY_CASES = ["ti", "basis_const", "basis_bilin", "dense", "filter_const_bp",
+               "filter_bilin_bp", "flat_filter_bilin", "flat_table_bilin"]
+
+
+@pytest.mark.parametrize("case", APPLY_CASES)
+def test_apply_matches_entrywise_sum(case):
+    rng = np.random.default_rng(3)
+    profile, N = kernel_case(case)
     view = KernelView(profile, N)
     A = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
     got = view.apply_dense(A)
     assert np.max(np.abs(got - brute_apply(view, A))) < 1e-13
+
+
+def test_translation_invariant_exactly_for_position_free_kernels(v34_profile):
+    flags = {case: KernelView(kernel_case(case)[0], 8).translation_invariant
+             for case in APPLY_CASES}
+    flags["v34"] = KernelView(v34_profile, 8).translation_invariant
+    assert {case for case, ti in flags.items() if ti} == {
+        "ti", "v34", "flat_filter_bilin", "flat_table_bilin"}
 
 
 def test_apply_output_is_banded(two_tap_profile):

@@ -70,9 +70,25 @@ def test_rademacher_driver_is_sign_valued():
     assert set(np.unique(X)) <= {-1.0, 1.0}
 
 
-def test_entry_samples_agree_with_full_draws():
-    filt = two_tap_spec(floor=0.0)
-    entries = [(3, 9), (10, 10), (5, 6)]
+def filter_case(case):
+    """A flat filter and two filters whose taps change at a breakpoint."""
+    if case == "flat":
+        return two_tap_spec(floor=0.0)
+    c = np.zeros((2, 2, 3, 3)) if case == "constant_bp" else np.zeros((3, 3, 3, 3))
+    c[..., 1, 1] = 0.6
+    c[..., 2, 1] = np.linspace(0.1, 0.5, c.shape[0] ** 2).reshape(c.shape[:2])
+    c[..., 0, 2] = -0.2
+    return FilterSpec(radius_r=1, kind=case.split("_")[0], coefficients=c,
+                      breakpoints=(0.45,))
+
+
+FILTER_CASES = ["flat", "constant_bp", "bilinear_bp"]
+
+
+@pytest.mark.parametrize("case", FILTER_CASES)
+def test_entry_samples_agree_with_full_draws(case):
+    filt = filter_case(case)
+    entries = [(3, 9), (10, 10), (5, 6), (12, 25)]
     vals = entry_samples(filt, 32, entries, 1, seed=42)
     X = sample(filt, 32, 42).entries
     for e, (i, j) in enumerate(entries):
@@ -171,13 +187,16 @@ def test_ou_paths_track_exponential_decay(two_tap_filter):
     assert abs(x0[:, 0].var(ddof=1) - 1.0) < sig
 
 
-def test_ou_paths_match_matrix_evolution():
-    filt = two_tap_spec(floor=0.0)
-    x0, xt = ou_entry_paths(filt, 32, 0.7, [(4, 9)], 1, seed=21)
+@pytest.mark.parametrize("case", FILTER_CASES)
+def test_ou_paths_match_matrix_evolution(case):
+    filt = filter_case(case)
+    entries = [(4, 9), (10, 20), (20, 27)]
+    x0, xt = ou_entry_paths(filt, 32, 0.7, entries, 1, seed=21)
     start = sample(filt, 32, 21)
     evolved = ou_evolve(start, 0.7, filt, seed=21)
-    assert x0[0, 0] == pytest.approx(start.entries[3, 8], abs=1e-14)
-    assert xt[0, 0] == pytest.approx(evolved.entries[3, 8], abs=1e-14)
+    for e, (i, j) in enumerate(entries):
+        assert x0[0, e] == pytest.approx(start.entries[i - 1, j - 1], abs=1e-14)
+        assert xt[0, e] == pytest.approx(evolved.entries[i - 1, j - 1], abs=1e-14)
 
 
 # ---------------------------------------------------------------------------

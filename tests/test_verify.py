@@ -279,3 +279,8 @@ def test_ou_flow_spacing_at_time_zero(two_tap_filter, two_tap_curve):
                         seed=4, curve=two_tap_curve)
     assert rep.spacing_ks == 0.0
     assert rep.covariance_ok
+
+
+def test_ou_flow_spacing_needs_a_curve(two_tap_filter):
+    with pytest.raises(InputError, match="curve"):
+        ou_flow_check(two_tap_filter, 40, 0.5, seeds=1, n_paths=100)
