@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from ._rng import TAG_EXACT, TAG_FIELD, TAG_FLOOR, TAG_GOE, TAG_OU, child_seed, stream
+from ._rng import (TAG_EXACT, TAG_FIELD, TAG_FLOOR, TAG_GOE, TAG_OU, TAG_WINDOW,
+                   child_seed, stream)
 from .errors import CapacityError, InputError, ModelError
 from .profiles import (COVARIANCE_CAP, CorrelationProfile, FilterSpec, KernelView,
                        _basis, build_covariance, pair_index)
@@ -194,30 +195,8 @@ def goe_sample(N: int, seed: int) -> MatrixSample:
 # ---------------------------------------------------------------------------
 # Monte-Carlo entry tracking
 
-def _entry_values(filt: FilterSpec, N: int, W, V, entries, th) -> np.ndarray:
-    """Tracked entry values from batched driver/floor fields; (B, n_entries)."""
-    r = filt.radius_r
-    lam = filt.iid_floor
-    B = W.shape[0]
-    out = np.zeros((B, len(entries)))
-    flat = _is_flat(filt)
-    g = _basis(filt.kind, filt.breakpoints, th)
-    for e, (i, j) in enumerate(entries):
-        acc = np.zeros(B)
-        for ai in range(2 * r + 1):
-            for bi in range(2 * r + 1):
-                if flat:
-                    c = filt.coefficients[0, 0, ai, bi]
-                else:
-                    c = g[:, i - 1] @ filt.coefficients[:, :, ai, bi] @ g[:, j - 1]
-                if c == 0.0:
-                    continue
-                acc += c * W[:, i - 1 + ai, j - 1 + bi]
-        acc *= np.sqrt(1.0 - lam)
-        if lam > 0.0:
-            acc += np.sqrt(lam) * V[:, e]
-        out[:, e] = acc
-    return out
+# Values drawn per compact batch of paths >= 1 (8 MB of float64).
+_BATCH_VALUES = 1 << 20
 
 
 def _canonical_entries(entries, N):
@@ -230,31 +209,68 @@ def _canonical_entries(entries, N):
     return canon
 
 
+def _stencil(filt: FilterSpec, N: int, entries):
+    """Driver cells the entries read and the weights that combine them.
+
+    Returns (cells, A): cells are flat indices into the (N + 2r)^2 driver
+    lattice, the union of every nonzero tap over all entries, and A, of
+    shape (cells + entries, entries), maps a row [cell values, floor values]
+    to the entry values.  Its top block is sqrt(1 - lam) T, where T[c, e] is
+    entry e's tap on cell c; a cell read by several entries is one row, which
+    is what correlates them.  Its bottom block is sqrt(lam) I.
+    """
+    r = filt.radius_r
+    ext = N + 2 * r
+    lam = filt.iid_floor
+    k = len(entries)
+    I, J = np.array(entries, dtype=int).reshape(k, 2).T
+    g = _basis(filt.kind, filt.breakpoints, np.arange(1, N + 1) / N)
+    # tap of entry e at offset (a, b): g(theta_i) . C[:, :, a, b] . g(theta_j)
+    taps = np.einsum("me,mnab,ne->eab", g[:, I - 1], filt.coefficients, g[:, J - 1])
+    e, a, b = np.nonzero(taps)
+    cells, row = np.unique((I[e] - 1 + a) * ext + (J[e] - 1 + b), return_inverse=True)
+    A = np.zeros((cells.size + k, k))
+    A[row, e] = np.sqrt(1.0 - lam) * taps[e, a, b]
+    A[cells.size + np.arange(k), np.arange(k)] = np.sqrt(lam)
+    return cells, A
+
+
 def entry_samples(filt: FilterSpec, N: int, entries, n_samples: int, seed: int
                   ) -> np.ndarray:
     """Values of selected entries across independent samples, (n, entries).
 
-    Batches whole driver fields; entries are read off without assembling
-    full matrices.
+    Only the driver cells in the entries' stencils are drawn.  Path 0 reads
+    them, and the floor, off the full fields that sample(filt, N, seed)
+    draws, so it equals that matrix entry for entry.  Paths >= 1 are
+    independent draws of the same law from compact (seed, TAG_WINDOW, batch)
+    streams holding the stencil cells and one floor value per entry.
     """
     N = int(N)
     r = filt.radius_r
     if N < 2 * r + 2:
         raise InputError(f"N must be at least 2r + 2 = {2 * r + 2}, got {N}")
     entries = _canonical_entries(entries, N)
+    n = int(n_samples)
+    out = np.empty((n, len(entries)))
+    if out.size == 0:
+        return out
+    cells, A = _stencil(filt, N, entries)
     ext = N + 2 * r
-    B = max(1, int(4_000_000 // (ext * ext)))
-    th = np.arange(1, N + 1) / N
-    out = np.empty((int(n_samples), len(entries)))
-    done = 0
+    w = _driver_draw(stream(seed, TAG_FIELD), (ext, ext), filt.driver, filt.tau, N)
+    floor = np.zeros(len(entries))
+    if filt.iid_floor > 0.0:
+        v = _driver_draw(stream(seed, TAG_FLOOR), (N, N), filt.driver, filt.tau, N)
+        floor = np.array([v[i - 1, j - 1] for i, j in entries])
+    out[0] = np.concatenate([w.ravel()[cells], floor]) @ A
+    width = A.shape[0]
+    B = max(1, _BATCH_VALUES // width)
+    done = 1
     bidx = 0
-    while done < n_samples:
-        nb = min(B, int(n_samples) - done)
-        W = _driver_draw(stream(seed, TAG_FIELD, bidx), (nb, ext, ext),
+    while done < n:
+        nb = min(B, n - done)
+        D = _driver_draw(stream(seed, TAG_WINDOW, bidx), (nb, width),
                          filt.driver, filt.tau, N)
-        V = _driver_draw(stream(seed, TAG_FLOOR, bidx), (nb, len(entries)),
-                         filt.driver, filt.tau, N) if filt.iid_floor > 0 else None
-        out[done:done + nb] = _entry_values(filt, N, W, V, entries, th)
+        out[done:done + nb] = D @ A
         done += nb
         bidx += 1
     return out
@@ -264,43 +280,20 @@ def ou_entry_paths(filt: FilterSpec, N: int, t: float, entries, n_paths: int,
                    seed: int):
     """Joint (start, evolved) values of selected entries over many paths.
 
-    Returns (x0, xt), each (n_paths, n_entries).  The pair law matches
-    sampling a matrix and evolving it; only the tracked entries are built.
+    Returns (x0, xt), each (n_paths, n_entries): x0 is entry_samples at
+    seed and xt = e^{-t/2} x0 + sqrt(1 - e^{-t}) g, with g entry_samples at
+    child_seed(seed, TAG_OU).  Path 0 therefore equals sample(filt, N, seed)
+    and its ou_evolve(..., t, filt, seed) entry for entry; paths >= 1 have
+    the same joint law.
     """
     if filt.driver != "gaussian":
         raise InputError("evolution increments require a gaussian driver")
-    N = int(N)
-    r = filt.radius_r
-    entries = _canonical_entries(entries, N)
-    ext = N + 2 * r
-    decay = np.exp(-float(t) / 2.0)
-    mix = np.sqrt(1.0 - np.exp(-float(t)))
-    B = max(1, int(2_000_000 // (ext * ext)))
-    th = np.arange(1, N + 1) / N
-    x0 = np.empty((int(n_paths), len(entries)))
-    xt = np.empty((int(n_paths), len(entries)))
-    done = 0
-    bidx = 0
-    seed_g = child_seed(seed, TAG_OU)
-    while done < n_paths:
-        nb = min(B, int(n_paths) - done)
-        W0 = _driver_draw(stream(seed, TAG_FIELD, bidx), (nb, ext, ext),
-                          "gaussian", None, N)
-        V0 = (_driver_draw(stream(seed, TAG_FLOOR, bidx), (nb, len(entries)),
-                           "gaussian", None, N)
-              if filt.iid_floor > 0 else None)
-        a0 = _entry_values(filt, N, W0, V0, entries, th)
-        Wg = _driver_draw(stream(seed_g, TAG_FIELD, bidx), (nb, ext, ext),
-                          "gaussian", None, N)
-        Vg = (_driver_draw(stream(seed_g, TAG_FLOOR, bidx), (nb, len(entries)),
-                           "gaussian", None, N)
-              if filt.iid_floor > 0 else None)
-        g = _entry_values(filt, N, Wg, Vg, entries, th)
-        x0[done:done + nb] = a0
-        xt[done:done + nb] = decay * a0 + mix * g
-        done += nb
-        bidx += 1
-    return x0, xt
+    t = float(t)
+    if t < 0.0:
+        raise InputError("t must be nonnegative")
+    x0 = entry_samples(filt, N, entries, n_paths, seed)
+    g = entry_samples(filt, N, entries, n_paths, child_seed(seed, TAG_OU))
+    return x0, np.exp(-t / 2.0) * x0 + np.sqrt(1.0 - np.exp(-t)) * g
 
 
 def empirical_covariance(filt: FilterSpec, N: int, pairs, n_samples: int,

@@ -71,9 +71,12 @@ def test_rademacher_driver_is_sign_valued():
 
 
 def filter_case(case):
-    """A flat filter and two filters whose taps change at a breakpoint."""
+    """Flat filters without and with a floor, and two whose taps change at a
+    breakpoint."""
     if case == "flat":
         return two_tap_spec(floor=0.0)
+    if case == "floored":
+        return two_tap_spec(floor=0.1)
     c = np.zeros((2, 2, 3, 3)) if case == "constant_bp" else np.zeros((3, 3, 3, 3))
     c[..., 1, 1] = 0.6
     c[..., 2, 1] = np.linspace(0.1, 0.5, c.shape[0] ** 2).reshape(c.shape[:2])
@@ -82,7 +85,7 @@ def filter_case(case):
                       breakpoints=(0.45,))
 
 
-FILTER_CASES = ["flat", "constant_bp", "bilinear_bp"]
+FILTER_CASES = ["flat", "floored", "constant_bp", "bilinear_bp"]
 
 
 @pytest.mark.parametrize("case", FILTER_CASES)
@@ -100,6 +103,51 @@ def test_entry_samples_validation(two_tap_filter):
         entry_samples(two_tap_filter, 20, [(0, 5)], 10, seed=0)
     with pytest.raises(InputError):
         entry_samples(two_tap_filter, 20, [(1, 21)], 10, seed=0)
+
+
+def test_entry_streams_with_no_samples(two_tap_filter):
+    entries = [(3, 9), (10, 10)]
+    assert entry_samples(two_tap_filter, 20, entries, 0, seed=0).shape == (0, 2)
+    x0, xt = ou_entry_paths(two_tap_filter, 20, 0.5, entries, 0, seed=0)
+    assert x0.shape == xt.shape == (0, 2)
+
+
+def test_entry_samples_keep_the_sparse_driver_law():
+    c = np.zeros((1, 1, 3, 3))
+    c[0, 0, 1, 1] = 1.0
+    filt = FilterSpec(radius_r=1, kind="constant", coefficients=c,
+                      driver="sparse_sign", tau=0.6)
+    N = 100
+    vals = entry_samples(filt, N, [(5, 9), (20, 20), (50, 70)], 20000, seed=7)
+    q = N ** 0.6
+    assert abs(np.mean(vals != 0.0) - q / N) < 0.01
+    assert abs(vals.var() - 1.0) < 0.05
+    assert np.allclose(np.abs(vals[vals != 0.0]), np.sqrt(N / q))
+
+
+def test_entry_samples_keep_the_rademacher_law():
+    filt = center_tap_filter()
+    filt = FilterSpec(radius_r=filt.radius_r, kind=filt.kind,
+                      coefficients=filt.coefficients, driver="rademacher")
+    vals = entry_samples(filt, 50, [(3, 3), (10, 40), (49, 50)], 5000, seed=3)
+    assert set(np.unique(vals)) == {-1.0, 1.0}
+
+
+def test_shared_stencil_cells_give_the_kernel_covariance():
+    # Entries one row or one anti-diagonal step apart read common driver
+    # cells with different taps; theta = 0.45 (row 18 of 40) is the
+    # breakpoint, so the taps of the pairs differ on its two sides.
+    filt = filter_case("bilinear_bp")
+    N = 40
+    pairs = [((17, 25), (18, 25)), ((18, 25), (19, 25)), ((17, 25), (16, 26)),
+             ((19, 30), (18, 31)), ((17, 25), (17, 25)), ((19, 30), (19, 30)),
+             ((17, 25), (19, 25))]
+    cov, se = empirical_covariance(filt, N, pairs, 40000, seed=13)
+    view = KernelView(profile_from_filter(filt), N)
+    want = [xi_eval(view, *a, *b) for a, b in pairs]
+    assert np.count_nonzero(want) >= 6
+    for c, s, w in zip(cov, se, want):
+        assert abs(c - w) < 5.0 * s
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +219,10 @@ def test_ou_validation(two_tap_filter):
                      driver="rademacher", iid_floor=0.1)
     with pytest.raises(InputError):
         ou_evolve(x, 0.5, rad, seed=0)
+    with pytest.raises(InputError):
+        ou_entry_paths(two_tap_filter, 30, -0.1, [(1, 2)], 10, seed=0)
+    with pytest.raises(InputError):
+        ou_entry_paths(two_tap_filter, 3, 0.5, [(1, 2)], 10, seed=0)
 
 
 def test_ou_paths_track_exponential_decay(two_tap_filter):
