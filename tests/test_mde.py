@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from dysonmc import (InputError, KernelView, NonConvergenceError,
-                     SpectralParameter, as_spectral, decay_profile, f_map,
+from dysonmc import (DomainEscapeError, FilterSpec, InputError, KernelView,
+                     NonConvergenceError, SpectralParameter, as_spectral,
+                     decay_profile, f_map, mde, profile_from_filter,
                      residual_norm, solve_finite, stability_probe, xi_map)
+from dysonmc._fixed_point import eta_ladder
+from dysonmc.mde import _band_inverse, _band_plan, _make_step
 from conftest import constant_table, m_semicircle
 
 
@@ -220,3 +224,106 @@ def test_stability_probe_matches_iid_linearization(wigner_profile):
     expected = 1.0 / abs(1.0 - m * m)
     got = stability_probe(view, z, 1e-6 * np.eye(20))
     assert got == pytest.approx(expected, rel=1e-3)
+
+
+# ---------------------------------------------------------------------------
+# the residual
+
+def test_residual_norm_is_the_explicit_product():
+    rng = np.random.default_rng(21)
+    z = 0.4 + 0.07j
+    for K in (1, 2, 3):
+        for N in (K + 2, 17, 40):
+            view = KernelView(constant_table(center=0.9, side=0.4, K=K), N)
+            A = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
+            want = np.max(np.abs(A @ (-z * np.eye(N) - xi_map(view, A)) - np.eye(N)))
+            assert residual_norm(view, z, A) == pytest.approx(want, rel=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# the band step against the dense inverse
+
+def assert_band_of_inverse(view, tb, s):
+    T = view.dense_of_band(tb)
+    want = view.band_of(np.linalg.inv(T))
+    got = _band_inverse(tb, _band_plan(view.N, view.K, s))
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4])
+def test_band_step_matches_dense_inverse(K):
+    rng = np.random.default_rng(K)
+    s = 16
+    # below one chunk, off the period s + K, on it
+    for N in (K + 1, s - 3, 3 * (s + K) + 5, 3 * (s + K)):
+        for chunk in (K, s):
+            view = KernelView(constant_table(K=K), N)
+            # a random non-symmetric band with Im T <= -eta on the diagonal
+            tb = 0.3 * (rng.normal(size=(2 * K + 1, N)) + 1j * rng.normal(size=(2 * K + 1, N)))
+            tb[K] -= 0.4 + 2.0j
+            tb = view.band_of(view.dense_of_band(tb))
+            assert_band_of_inverse(view, tb, chunk)
+
+
+def test_band_step_on_a_position_dependent_kernel():
+    # chunk 1 starts at row 17 (theta = 18/40) with s = 15 and K = 2: the
+    # filter's taps change right at the chunk edge
+    c = np.zeros((3, 3, 3, 3))
+    c[..., 1, 1] = 0.6
+    c[..., 2, 1] = np.linspace(0.1, 0.5, 9).reshape(3, 3)
+    c[..., 0, 2] = -0.2
+    filt = FilterSpec(radius_r=1, kind="bilinear", coefficients=c, breakpoints=(0.45,))
+    N, K, s = 40, 2, 15
+    view = KernelView(profile_from_filter(filt), N)
+    rng = np.random.default_rng(3)
+    x = 0.2 * (rng.normal(size=(2 * K + 1, N)) + 1j * rng.normal(size=(2 * K + 1, N)))
+    x[K] += 1j
+    tb = -view.apply_band(view.band_of(view.dense_of_band(x)))
+    tb[K] -= 0.3 + 0.05j
+    T = view.dense_of_band(tb)
+    assert not np.allclose(T, T.T)
+    assert_band_of_inverse(view, tb, s)
+
+
+@pytest.mark.parametrize("profile", ["two_tap_profile", "bilinear_profile"])
+def test_solve_finite_forms_the_dense_matrix_once_per_check(profile, request, monkeypatch):
+    view = KernelView(request.getfixturevalue(profile), 50)
+    z = 0.3 + 0.02j
+    calls = {"solve_banded": 0, "iterate": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(scipy.linalg, "solve_banded",
+                        counted("solve_banded", scipy.linalg.solve_banded))
+    monkeypatch.setattr(mde, "fixed_point_iterate",
+                        counted("iterate", mde.fixed_point_iterate))
+    sol = solve_finite(view, z, tol=1e-11)
+    tightening = calls["iterate"] - len(eta_ladder(z.imag))
+    assert calls["solve_banded"] == 1 + tightening
+    assert sol.iterations > calls["solve_banded"]
+    want = view.band_of(sol.M)
+    assert np.max(np.abs(sol.band - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+# ---------------------------------------------------------------------------
+# the escape guard
+
+def test_band_step_rejects_states_outside_the_solution_class():
+    # Xi(c I) = c I for this kernel, so c = -z makes T = -z - c vanish:
+    # exactly at z = 0.5 + 0.25j (a singular chunk), up to rounding at
+    # z = 0.5 + 0.1j (an unbounded inverse)
+    view = KernelView(constant_table(), 32)
+    inside = view.band_of(1j * np.eye(32))
+    nan_state = inside.copy()
+    nan_state[1, 7] = np.nan
+    for z in (0.5 + 0.25j, 0.5 + 0.1j):
+        g = _make_step(view, z, {})
+        for x in (nan_state, view.band_of(-z * np.eye(32))):
+            with pytest.raises(DomainEscapeError) as exc:
+                g(x.ravel())
+            assert exc.value.diagnostics["eta_level"] == z.imag
+        assert np.all(np.isfinite(g(inside.ravel())))

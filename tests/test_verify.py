@@ -4,8 +4,9 @@ import pytest
 from dysonmc import (DensityCurve, InputError, KernelView, LawRecord,
                      LawReport, delocalization_stats, eigen,
                      empirical_sce_residual, goe_sample, green_function,
-                     ks_statistic, law_check, ou_flow_check, sample,
-                     spacing_stats, surmise_cdf, unfold_gaps)
+                     ks_statistic, law_check, ou_flow_check, residual_norm,
+                     sample, solve_finite, solve_limit, spacing_stats,
+                     stieltjes_trace, surmise_cdf, unfold_gaps)
 from conftest import center_tap_filter, m_semicircle
 
 
@@ -236,6 +237,28 @@ def test_law_check_mode_validation():
 def test_law_check_exact_route_is_capped(v34_profile):
     with pytest.raises(InputError):
         law_check(v34_profile, 500, [1j], seeds=1)
+
+
+def test_law_check_records_match_the_complex_resolvent(two_tap_filter, two_tap_profile,
+                                                       two_tap_grid):
+    N, seeds, zs = 60, [3, 4], [0.5 + 0.5j, -0.3 + 0.2j]
+    rep = law_check(two_tap_filter, N, zs, seeds=seeds, grid=two_tap_grid)
+    view = KernelView(two_tap_profile, N)
+    records = iter(rep.records)
+    for s in seeds:
+        w, V = np.linalg.eigh(sample(two_tap_filter, N, s).entries / np.sqrt(N))
+        for z in zs:
+            M = solve_finite(view, z).M
+            tr_m = stieltjes_trace(solve_limit(two_tap_profile, z, tol=1e-10,
+                                               grid=two_tap_grid))
+            G = (V * (1.0 / (w - z))) @ V.T
+            rec = next(records)
+            assert (rec.seed, rec.z, rec.error) == (s, z, None)
+            assert rec.max_entry_error == pytest.approx(np.max(np.abs(G - M)), abs=1e-12)
+            assert rec.trace_error == pytest.approx(
+                abs(np.mean(np.diagonal(G)) - tr_m), abs=1e-12)
+            assert rec.empirical_sce_residual == pytest.approx(
+                residual_norm(view, z, G), abs=1e-12)
 
 
 def test_law_check_explicit_seed_list():
